@@ -4,7 +4,7 @@ Two views of the same R-MAT workload:
 
 1. a stage breakdown that times the ingest pipeline's phases in
    isolation -- edge generation, column extraction, label->key
-   conversion, hashing and the kernel scatter -- so a regression in any
+   conversion, hashing and the ufunc.at scatter -- so a regression in any
    one layer is visible as a shifted percentage rather than a vague
    slowdown of the whole;
 2. a cProfile of the real end-to-end ``TCM.ingest`` call (stdlib
@@ -32,7 +32,6 @@ for path in (REPO_ROOT, os.path.join(REPO_ROOT, "src")):
 
 import numpy as np
 
-from repro.core import kernels
 from repro.core.tcm import TCM
 from repro.hashing.labels import label_keys
 from repro.streams.generators import rmat_edges
@@ -66,25 +65,14 @@ def stage_breakdown(n_edges: int, n_nodes: int, d: int, width: int,
     timings["label_keys"] = time.perf_counter() - start
 
     tcm = TCM(d=d, width=width, seed=seed)
-    backend = kernels.get_backend()
 
     start = time.perf_counter()
-    unique_src, inv_src = kernels.dedup_keys(source_keys)
-    unique_tgt, inv_tgt = kernels.dedup_keys(target_keys)
-    hashed = []
-    for sketch in tcm.sketches:
-        rows = sketch._row_hash.hash_many(unique_src)
-        cols = sketch._col_hash.hash_many(unique_tgt)
-        if inv_src is not None:
-            rows = rows[inv_src]
-        if inv_tgt is not None:
-            cols = cols[inv_tgt]
-        hashed.append((sketch, rows, cols))
+    hashed = list(tcm._sketch_cells(source_keys, target_keys))
     timings["hashing"] = time.perf_counter() - start
 
     start = time.perf_counter()
     for sketch, rows, cols in hashed:
-        backend.scatter_add(sketch._matrix, rows, cols, weights)
+        sketch._scatter(rows, cols, weights)
     timings["scatter"] = time.perf_counter() - start
 
     return timings
@@ -92,8 +80,7 @@ def stage_breakdown(n_edges: int, n_nodes: int, d: int, width: int,
 
 def print_breakdown(timings: Dict[str, float], n_edges: int) -> None:
     total = sum(timings.values())
-    print(f"\nstage breakdown ({n_edges:,} edges, "
-          f"kernel backend: {kernels.active_backend()})")
+    print(f"\nstage breakdown ({n_edges:,} edges)")
     print(f"{'stage':<20} {'seconds':>10} {'share':>8} {'elements/s':>14}")
     for stage, seconds in timings.items():
         rate = n_edges / seconds if seconds > 0 else float("inf")
@@ -126,17 +113,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--width", type=int, default=256)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--chunk-size", type=int, default=65536)
-    parser.add_argument("--kernel", choices=("auto", "numpy", "numba"),
-                        default=None,
-                        help="scatter-kernel backend to profile")
     parser.add_argument("--top", type=int, default=15,
                         help="cProfile rows to print")
     parser.add_argument("--skip-cprofile", action="store_true",
                         help="only print the stage breakdown")
     args = parser.parse_args(argv)
-
-    if args.kernel is not None:
-        kernels.set_backend(args.kernel)
 
     timings = stage_breakdown(args.edges, args.nodes, args.d, args.width,
                               args.seed, args.chunk_size)

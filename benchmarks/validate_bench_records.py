@@ -64,15 +64,9 @@ def _check_ingest(record: Dict, filename: str) -> None:
     _require(record, "speedup_vs_per_edge", dict, filename)
     memory = _require(record, "memory", dict, filename)
     _require(memory, "peak_rss_kib", dict, filename)
-    # Kernel-layer provenance: the record must say which scatter backend
-    # produced it and how many hardware cores the parallel numbers had,
-    # or the throughput/domination figures are uninterpretable.
+    # Provenance: the record must say how many hardware cores the
+    # parallel numbers had, or the domination figures are uninterpretable.
     config = record["config"]
-    backend = _require(config, "kernel_backend", str, filename)
-    if backend not in ("numpy", "numba"):
-        raise ValueError(
-            f"{filename}: kernel_backend must be 'numpy' or 'numba', "
-            f"got {backend!r}")
     cpu_count = _require(config, "cpu_count", int, filename)
     if cpu_count < 1:
         raise ValueError(

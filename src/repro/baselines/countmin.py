@@ -76,15 +76,13 @@ class CountMinSketch:
     def update_many(self, keys: np.ndarray, weights: np.ndarray) -> None:
         """Vectorized bulk update of pre-converted integer keys.
 
-        Routed through the active scatter kernel (see
-        :mod:`repro.core.kernels`): each row takes one buffered
-        bincount scatter, bit-identical to per-element :meth:`update`,
-        and duplicate keys are hashed once per chunk rather than once
-        per row.
+        Each row takes one unbuffered ``np.add.at`` scatter, which adds
+        the batch in stream order -- bit-identical to per-element
+        :meth:`update` -- and duplicate keys are hashed once per chunk
+        rather than once per row.
         """
         keys = np.asarray(keys, dtype=np.uint64)
         weights = np.asarray(weights, dtype=np.float64)
-        backend = _kernels.get_backend()
         if self.d > 1:
             unique_keys, inverse = _kernels.dedup_keys(keys)
         else:
@@ -93,7 +91,7 @@ class CountMinSketch:
             idx = h.hash_many(unique_keys)
             if inverse is not None:
                 idx = idx[inverse]
-            backend.scatter_add_1d(self._table[row], idx, weights)
+            np.add.at(self._table[row], idx, weights)
 
     def clear(self) -> None:
         self._table.fill(0)

@@ -90,12 +90,6 @@ def _cmd_ingest(args) -> int:
     if args.conservative and args.parallel > 1:
         raise SystemExit("conservative summaries are not mergeable; "
                          "use --parallel 1 with --conservative")
-    if args.kernel is not None:
-        from repro.core import kernels
-        try:
-            kernels.set_backend(args.kernel)
-        except ValueError as exc:
-            raise SystemExit(str(exc))
     config = dict(d=args.d, width=args.width, seed=args.seed,
                   directed=not args.undirected,
                   keep_labels=args.keep_labels, sparse=args.sparse)
@@ -116,21 +110,18 @@ def _cmd_ingest(args) -> int:
             count = tcm.ingest(edges, chunk_size=args.chunk_size)
     elapsed = _time.perf_counter() - start
     save_tcm(tcm, args.sketch)
-    from repro.core import kernels as _kernels
-    backend = _kernels.active_backend()
     if count is None:
         # The parallel path streams the file straight into worker
         # processes without counting elements in the parent.
         print(f"ingested {args.stream} into {args.sketch} "
               f"in {elapsed:.2f}s "
-              f"({args.parallel} workers, chunk size {args.chunk_size}, "
-              f"kernel {backend})")
+              f"({args.parallel} workers, chunk size {args.chunk_size})")
     else:
         rate = count / elapsed if elapsed > 0 else float("inf")
         mode = "conservative" if args.conservative else "chunked"
         print(f"ingested {count} elements into {args.sketch} "
               f"in {elapsed:.2f}s ({mode}, chunk size {args.chunk_size}, "
-              f"kernel {backend}, {rate:,.0f} elements/s)")
+              f"{rate:,.0f} elements/s)")
     return 0
 
 
@@ -785,11 +776,6 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--conservative", action="store_true",
                         help="conservative (Estan-Varghese) batched "
                              "ingest; insert-only, not mergeable")
-    ingest.add_argument("--kernel", choices=("auto", "numpy", "numba"),
-                        default=None,
-                        help="scatter-kernel backend (default: "
-                             "$REPRO_KERNEL or auto; see "
-                             "docs/PERFORMANCE.md)")
     ingest.set_defaults(handler=_cmd_ingest)
 
     window = commands.add_parser(

@@ -25,7 +25,6 @@ from typing import Dict, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.core.aggregation import Aggregation
-from repro.core import kernels as _kernels
 from repro.hashing.family import PairwiseHash
 from repro.hashing.labels import Label, label_to_int
 from repro.hashing.labels import label_keys as _label_keys
@@ -243,12 +242,12 @@ class GraphSketch:
                     weights: np.ndarray) -> None:
         """Vectorized bulk deletion of pre-converted integer label keys.
 
-        The expiry counterpart of :meth:`update_many` and the kernel the
-        sliding-window fast path drives: one buffered scatter (see
-        :mod:`repro.core.kernels`) deletes a whole batch of previously
+        The expiry counterpart of :meth:`update_many` and the path the
+        sliding-window fast path drives: one ``np.subtract.at`` scatter
+        (see :meth:`_scatter`) deletes a whole batch of previously
         inserted elements.  Deletion is bit-identical to the scalar path
-        for sum (the kernel replays the batch's subtractions in stream
-        order per cell) and count (each element subtracts 1); min/max
+        for sum (the subtractions land in stream order per cell) and
+        count (each element subtracts 1); min/max
         are not invertible, so -- exactly like the scalar :meth:`remove`
         -- the call raises ``ValueError`` rather than silently
         corrupting the sketch.
@@ -281,12 +280,9 @@ class GraphSketch:
         """Vectorized bulk ingest of pre-converted integer label keys.
 
         Bit-identical to calling :meth:`update` once per element, for every
-        aggregation: sum/count go through the active backend's buffered
-        scatter-add (see :mod:`repro.core.kernels` -- the kernel folds
-        each cell's additions in stream order, so float rounding matches
-        the scalar path exactly), min/max through its sort-based segment
-        extreme (min/max of the same floats is one of the inputs, so no
-        rounding is involved at all).
+        aggregation: one unbuffered ``ufunc.at`` scatter (see
+        :meth:`_scatter`) folds each cell's elements in stream order, so
+        float rounding matches the scalar path exactly.
 
         Extended sketches (``keep_labels=True``) additionally need the
         original label objects to materialize per-bucket label sets; pass
@@ -326,83 +322,45 @@ class GraphSketch:
 
     def _scatter(self, rows: np.ndarray, cols: np.ndarray,
                  weights: Optional[np.ndarray], insert: bool = True) -> None:
-        """Dispatch one pre-hashed batch to the active scatter kernel.
+        """Apply one pre-hashed batch to the matrix -- the one dense scatter.
 
-        ``weights is None`` means unit weights (count aggregation, or an
-        unweighted sum), which lets the backend take its pure-count fast
-        path.  Callers bump the epoch and validate; this only mutates the
-        matrix.  Non-float64 matrices keep the legacy unbuffered ufunc
-        scatter -- the bincount kernels accumulate in float64 and would
-        round differently on narrower dtypes.
+        ``ufunc.at`` is unbuffered: it applies the batch one element at a
+        time in stream order, so a cell hit several times ends at
+        ``((m + w1) + w2) ...`` exactly like repeated scalar ``+=`` --
+        bit-identical to :meth:`update`/:meth:`remove` for any float
+        weights, any matrix dtype, and unit counts past 2**53.  Min/max
+        first set never-touched cells to the ufunc's identity (+-inf), so
+        the fold leaves exactly the batch's extreme there, as the scalar
+        "untouched -> overwrite" branch does.  ``weights is None`` means
+        unit weights.  Callers bump the epoch and validate.
         """
+        flat = self._matrix.reshape(-1)
+        idx = rows * self._matrix.shape[1] + cols
         agg = self.aggregation
-        matrix = self._matrix
-        if matrix.dtype != np.float64:
-            self._scatter_legacy(rows, cols, weights, insert)
-            return
-        backend = _kernels.get_backend()
         if agg is Aggregation.SUM or agg is Aggregation.COUNT:
-            values = weights if agg is Aggregation.SUM else None
-            if insert:
-                backend.scatter_add(matrix, rows, cols, values)
-            else:
-                backend.scatter_sub(matrix, rows, cols, values)
-        else:
-            backend.scatter_extreme(matrix, self._touched, rows, cols,
-                                    weights, agg is Aggregation.MIN)
+            values = (weights if agg is Aggregation.SUM
+                      and weights is not None else 1.0)
+            (np.add if insert else np.subtract).at(flat, idx, values)
+            return
+        touched = self._touched.reshape(-1)
+        minimum = agg is Aggregation.MIN
+        flat[idx[~touched[idx]]] = np.inf if minimum else -np.inf
+        (np.minimum if minimum else np.maximum).at(flat, idx, weights)
+        touched[idx] = True
 
-    def _scatter_legacy(self, rows: np.ndarray, cols: np.ndarray,
-                        weights: Optional[np.ndarray], insert: bool) -> None:
-        """Unbuffered ufunc.at scatter for non-float64 matrices."""
-        if self.aggregation in (Aggregation.SUM, Aggregation.COUNT):
-            values = (weights if self.aggregation is Aggregation.SUM
-                      else np.ones(len(rows), dtype=self._matrix.dtype))
-            if insert:
-                np.add.at(self._matrix, (rows, cols), values)
-            else:
-                np.subtract.at(self._matrix, (rows, cols), values)
-        else:
-            # Cells first touched in this chunk start from the min/max
-            # identity so the unbuffered ufunc leaves exactly the chunk's
-            # extreme there -- the same value the scalar path's
-            # "untouched -> overwrite" branch produces.
-            identity = (np.inf if self.aggregation is Aggregation.MIN
-                        else -np.inf)
-            fresh = ~self._touched[rows, cols]
-            if fresh.any():
-                self._matrix[rows[fresh], cols[fresh]] = identity
-            if self.aggregation is Aggregation.MIN:
-                np.minimum.at(self._matrix, (rows, cols), weights)
-            else:
-                np.maximum.at(self._matrix, (rows, cols), weights)
-            self._touched[rows, cols] = True
+    def _cells_at(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Gather the cells at pre-hashed ``(rows, cols)`` as float64."""
+        flat = self._matrix.reshape(-1)
+        return flat[rows * self._matrix.shape[1] + cols].astype(
+            np.float64, copy=False)
 
-    def _apply_keys_fused(self, backend: "_kernels.KernelBackend",
-                          source_keys: np.ndarray, target_keys: np.ndarray,
-                          weights: Optional[np.ndarray],
-                          insert: bool = True) -> None:
-        """Single-pass key->hash->cell ingest on a fused backend.
-
-        Keys must already be in canonical orientation for undirected
-        sketches and validated; used by the TCM column fast path when the
-        active backend compiles the whole pipeline (numba).
-        """
-        agg = self.aggregation
-        if agg is Aggregation.SUM:
-            values = (weights if weights is not None
-                      else np.ones(source_keys.shape[0], dtype=np.float64))
-            op = 0 if insert else 1
-        elif agg is Aggregation.COUNT:
-            values = np.ones(source_keys.shape[0], dtype=np.float64)
-            op = 0 if insert else 1
-        elif agg is Aggregation.MIN:
-            values, op = weights, 2
-        else:
-            values, op = weights, 3
+    def _raise_cells(self, rows: np.ndarray, cols: np.ndarray,
+                     floors: np.ndarray) -> None:
+        """Lift each pre-hashed cell to the largest floor landing on it."""
         self._epoch += 1
-        backend.fused_ingest(self._matrix, self._touched, self._row_hash,
-                             self._col_hash, source_keys, target_keys,
-                             values, op)
+        np.maximum.at(self._matrix.reshape(-1),
+                      rows * self._matrix.shape[1] + cols,
+                      np.asarray(floors, dtype=self._matrix.dtype))
 
     @staticmethod
     def _record_labels_bulk(keys: np.ndarray, labels: Sequence[Label],
@@ -444,15 +402,8 @@ class GraphSketch:
         if not self.directed:
             source_keys, target_keys = (np.minimum(source_keys, target_keys),
                                         np.maximum(source_keys, target_keys))
-        rows = self._row_hash.hash_many(source_keys)
-        cols = self._col_hash.hash_many(target_keys)
-        self._epoch += 1
-        floors = np.asarray(floors, dtype=self._matrix.dtype)
-        if self._matrix.dtype == np.float64:
-            _kernels.get_backend().scatter_floor(self._matrix, rows, cols,
-                                                 floors)
-        else:
-            np.maximum.at(self._matrix, (rows, cols), floors)
+        self._raise_cells(self._row_hash.hash_many(source_keys),
+                          self._col_hash.hash_many(target_keys), floors)
 
     # -- point estimates -----------------------------------------------------
 
@@ -474,9 +425,8 @@ class GraphSketch:
         if not self.directed:
             source_keys, target_keys = (np.minimum(source_keys, target_keys),
                                         np.maximum(source_keys, target_keys))
-        rows = self._row_hash.hash_many(source_keys)
-        cols = self._col_hash.hash_many(target_keys)
-        return self._matrix[rows, cols].astype(np.float64)
+        return self._cells_at(self._row_hash.hash_many(source_keys),
+                              self._col_hash.hash_many(target_keys))
 
     def out_flow(self, source: Label) -> float:
         """Estimated out-flow of a node: its row sum (Section 4.2)."""

@@ -1,77 +1,25 @@
-"""Pluggable scatter/hash kernels behind the batched ingest paths.
+"""Per-chunk key deduplication for the batched ingest paths.
 
-Every bulk mutation in the library bottoms out in one of a handful of
-primitives: *scatter-add* (sum/count ingest and deletion), *segment
-extreme* (min/max ingest), *segment floor* (batched conservative
-update) and *segment sums* (the sparse backend's grouped dict update).
-This module implements those primitives once, behind a tiny backend
-registry, so the sketches stay storage/aggregation logic and the hot
-arithmetic can be swapped wholesale:
-
-- ``numpy``   -- pure-numpy kernels built on flat-index ``np.bincount``
-  (a buffered scatter, several times faster than the unbuffered
-  ``np.add.at``) and sort-based ``reduceat`` segment reduction.
-- ``numba``   -- optional jitted kernels: per-element scatter loops plus
-  a *fused* path that goes key -> Mersenne hash -> flat index -> cell in
-  a single compiled pass with no intermediate arrays.  Only offered when
-  numba is importable; never a hard dependency.
-- ``auto``    -- numba when available, numpy otherwise (the default).
-
-Select a backend with :func:`set_backend`, per-call via
-:func:`get_backend`, through the ``REPRO_KERNEL`` environment variable,
-or ``tcm ingest --kernel``.
-
-**Exactness contract.**  All backends produce *bit-identical* state to
-the per-element scalar loop, for arbitrary float weights:
-
-- scatter-add seeds each touched cell's accumulator with the cell's
-  current value and then folds the batch's weights in stream order, so a
-  cell ends at ``((m + w1) + w2) ...`` exactly like repeated ``+=``
-  (``np.bincount`` accumulates its input sequentially; the numba loop is
-  literally repeated ``+=``).  Deletion passes negated weights --
-  ``m + (-w)`` is IEEE-identical to ``m - w``.
-- segment extremes return one of their inputs, so no rounding exists.
-- the unit-weight fast path (``np.bincount`` without weights) is only
-  taken when every cell stays far below 2**53, where integer-valued
-  float addition is associative; otherwise it falls back to the seeded
-  path.
+An ensemble hashes each chunk's key columns once per sketch side, and
+streams repeat hot endpoints constantly, so hashing only the distinct
+keys and gathering back per sketch saves most of the duplicate work.
+The scatter itself needs no kernel layer: every bulk mutation is one
+``np.add.at``/``np.subtract.at``/``np.minimum.at``/``np.maximum.at``
+over flat cell indices (see
+:meth:`repro.core.graph_sketch.GraphSketch._scatter`).
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-__all__ = [
-    "available_backends", "get_backend", "set_backend", "active_backend",
-    "use_backend", "resolve_backend", "reset", "dedup_keys",
-    "KernelBackend", "NumpyKernels", "NumbaKernels",
-]
-
-#: Cells must stay below this for the unit-weight count fast path to be
-#: exact (integer-valued float64 addition is associative below 2**53).
-_EXACT_COUNT_LIMIT = float(2 ** 52)
+__all__ = ["dedup_keys"]
 
 #: Batches smaller than this skip the per-chunk key dedup (the sort
 #: costs more than the duplicate hashing it saves).
 _DEDUP_MIN_BATCH = 2048
-
-_ARANGE_CACHE: Dict[int, np.ndarray] = {}
-
-
-def _arange(size: int) -> np.ndarray:
-    """Cached ``np.arange(size)`` -- the seed indices of a dense scatter."""
-    cached = _ARANGE_CACHE.get(size)
-    if cached is None:
-        if len(_ARANGE_CACHE) >= 32:
-            _ARANGE_CACHE.clear()
-        cached = np.arange(size, dtype=np.int64)
-        _ARANGE_CACHE[size] = cached
-    return cached
-
 
 _DEDUP_PROBE = 512
 
@@ -112,530 +60,3 @@ def dedup_keys(keys: np.ndarray, *,
         # duplicate hashing they avoid.
         return keys, None
     return unique, inverse
-
-
-def _flat_indices(rows: np.ndarray, cols: np.ndarray,
-                  ncols: int) -> np.ndarray:
-    return rows * np.int64(ncols) + cols
-
-
-# -- pure-numpy kernel bodies -------------------------------------------------
-
-
-def _np_scatter_signed(matrix: np.ndarray, rows: np.ndarray,
-                       cols: np.ndarray, values: np.ndarray) -> None:
-    """Seeded scatter-add of (possibly negated) float64 values."""
-    n = rows.shape[0]
-    if n == 0:
-        return
-    flat_mat = matrix.reshape(-1)
-    size = flat_mat.shape[0]
-    flat = _flat_indices(rows, cols, matrix.shape[1])
-    if size <= 4 * n:
-        # Dense variant: seed every cell, one bincount over the whole
-        # table.  Untouched cells accumulate only their seed (0 + m = m).
-        flat_mat[:] = np.bincount(
-            np.concatenate([_arange(size), flat]),
-            weights=np.concatenate([flat_mat, values]),
-            minlength=size)
-    else:
-        # Compact variant for tables much larger than the batch: group
-        # by distinct cell first, seed only the touched cells.
-        cells, inverse = np.unique(flat, return_inverse=True)
-        k = cells.shape[0]
-        flat_mat[cells] = np.bincount(
-            np.concatenate([_arange(k), inverse]),
-            weights=np.concatenate([flat_mat[cells], values]),
-            minlength=k)
-
-
-def _np_scatter_add(matrix: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                    values: Optional[np.ndarray]) -> None:
-    if rows.shape[0] == 0:
-        return
-    if values is None or (values.shape[0] and bool((values == 1.0).all())):
-        _np_scatter_count(matrix, rows, cols, negate=False)
-        return
-    _np_scatter_signed(matrix, rows, cols, values)
-
-
-def _np_scatter_sub(matrix: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                    values: Optional[np.ndarray]) -> None:
-    if rows.shape[0] == 0:
-        return
-    if values is None or (values.shape[0] and bool((values == 1.0).all())):
-        _np_scatter_count(matrix, rows, cols, negate=True)
-        return
-    _np_scatter_signed(matrix, rows, cols, np.negative(values))
-
-
-def _np_scatter_count(matrix: np.ndarray, rows: np.ndarray,
-                      cols: np.ndarray, negate: bool) -> None:
-    """Add (or subtract) 1 per element via an unweighted bincount.
-
-    ``m + k`` equals ``k`` repeated ``m += 1.0`` only while the cell
-    magnitude stays below 2**53; past that the seeded scatter (which
-    replays the additions one by one per cell) takes over so the result
-    stays bit-identical to the scalar loop.
-    """
-    n = rows.shape[0]
-    if n == 0:
-        return
-    flat_mat = matrix.reshape(-1)
-    size = flat_mat.shape[0]
-    flat = _flat_indices(rows, cols, matrix.shape[1])
-    if size <= 4 * n:
-        counts = np.bincount(flat, minlength=size)
-        touched_max = float(np.abs(flat_mat).max()) if size else 0.0
-        if touched_max + n < _EXACT_COUNT_LIMIT:
-            if negate:
-                flat_mat -= counts
-            else:
-                flat_mat += counts
-            return
-    else:
-        cells, counts = np.unique(flat, return_counts=True)
-        current = flat_mat[cells]
-        if float(np.abs(current).max()) + n < _EXACT_COUNT_LIMIT:
-            if negate:
-                flat_mat[cells] = current - counts
-            else:
-                flat_mat[cells] = current + counts
-            return
-    ones = np.ones(n, dtype=np.float64)
-    _np_scatter_signed(matrix, rows, cols,
-                       np.negative(ones) if negate else ones)
-
-
-def _segment_starts(flat: np.ndarray,
-                    values: np.ndarray) -> Tuple[np.ndarray, np.ndarray,
-                                                 np.ndarray]:
-    """Sort by cell; return (cells, group starts, sorted values)."""
-    order = np.argsort(flat, kind="stable")
-    sorted_flat = flat[order]
-    starts = np.flatnonzero(
-        np.concatenate([[True], sorted_flat[1:] != sorted_flat[:-1]]))
-    return sorted_flat[starts], starts, values[order]
-
-
-def _np_scatter_extreme(matrix: np.ndarray, touched: np.ndarray,
-                        rows: np.ndarray, cols: np.ndarray,
-                        values: np.ndarray, minimum: bool) -> None:
-    """Sort-based segment min/max folded into matrix + touched mask."""
-    if rows.shape[0] == 0:
-        return
-    flat = _flat_indices(rows, cols, matrix.shape[1])
-    cells, starts, sorted_values = _segment_starts(flat, values)
-    combine = np.minimum if minimum else np.maximum
-    extremes = combine.reduceat(sorted_values, starts)
-    flat_mat = matrix.reshape(-1)
-    flat_touch = touched.reshape(-1)
-    seen = flat_touch[cells]
-    current = flat_mat[cells]
-    flat_mat[cells] = np.where(seen, combine(current, extremes), extremes)
-    flat_touch[cells] = True
-
-
-def _np_scatter_floor(matrix: np.ndarray, rows: np.ndarray,
-                      cols: np.ndarray, floors: np.ndarray) -> None:
-    """Lift each targeted cell to the max floor landing on it."""
-    if rows.shape[0] == 0:
-        return
-    flat = _flat_indices(rows, cols, matrix.shape[1])
-    cells, starts, sorted_floors = _segment_starts(flat, floors)
-    group_max = np.maximum.reduceat(sorted_floors, starts)
-    flat_mat = matrix.reshape(-1)
-    flat_mat[cells] = np.maximum(flat_mat[cells], group_max)
-
-
-def _np_scatter_add_1d(table: np.ndarray, idx: np.ndarray,
-                       values: Optional[np.ndarray]) -> None:
-    """1-D seeded scatter-add (CountMin rows)."""
-    n = idx.shape[0]
-    if n == 0:
-        return
-    size = table.shape[0]
-    if values is None or bool((values == 1.0).all()):
-        counts = np.bincount(idx, minlength=size)
-        if float(np.abs(table).max()) + n < _EXACT_COUNT_LIMIT:
-            table += counts
-            return
-        values = np.ones(n, dtype=np.float64)
-    table[:] = np.bincount(
-        np.concatenate([_arange(size), idx]),
-        weights=np.concatenate([table, values]), minlength=size)
-
-
-def _np_segment_cell_sums(rows: np.ndarray, cols: np.ndarray, ncols: int,
-                          values: np.ndarray
-                          ) -> Tuple[np.ndarray, np.ndarray]:
-    """Distinct flat cells and their per-cell stream-order weight sums."""
-    flat = _flat_indices(rows, cols, ncols)
-    cells, inverse = np.unique(flat, return_inverse=True)
-    sums = np.bincount(inverse, weights=values, minlength=cells.shape[0])
-    return cells, sums
-
-
-# -- numba kernel bodies ------------------------------------------------------
-#
-# Written as plain functions over numpy scalars/arrays so the *same*
-# bodies run unjitted (the pure-Python twins the test suite exercises
-# even when numba is absent) and jitted (what the numba backend
-# dispatches to).  All integer arithmetic is uint64 limb math that never
-# overflows, mirroring repro.hashing.family's vectorized construction
-# bit for bit.
-
-_U61 = np.uint64((1 << 61) - 1)
-_U31 = np.uint64(31)
-_U30 = np.uint64(30)
-_M31 = np.uint64((1 << 31) - 1)
-_M30 = np.uint64((1 << 30) - 1)
-
-
-def _kb_hash_key(a_hi, a_lo, b, width, key):
-    """Scalar Mersenne hash ``((a*k + b) mod 2^61-1) mod width``.
-
-    Matches :meth:`repro.hashing.family.PairwiseHash.hash_int` exactly;
-    ``a`` arrives pre-split as ``a_hi * 2^31 + a_lo`` so every partial
-    product fits in uint64.
-    """
-    k = (key & _U61) + (key >> np.uint64(61))
-    if k >= _U61:
-        k -= _U61
-    k_hi = k >> _U31
-    k_lo = k & _M31
-    top = a_hi * k_hi
-    top = (top & _U61) + (top >> np.uint64(61))
-    if top >= _U61:
-        top -= _U61
-    top = top + top
-    if top >= _U61:
-        top -= _U61
-    mid = a_hi * k_lo + a_lo * k_hi
-    mid = (mid & _U61) + (mid >> np.uint64(61))
-    if mid >= _U61:
-        mid -= _U61
-    mid = ((mid & _M30) << _U31) + (mid >> _U30)
-    if mid >= _U61:
-        mid -= _U61
-    bot = a_lo * k_lo
-    bot = (bot & _U61) + (bot >> np.uint64(61))
-    if bot >= _U61:
-        bot -= _U61
-    total = top + mid
-    if total >= _U61:
-        total -= _U61
-    total = total + bot
-    if total >= _U61:
-        total -= _U61
-    total = total + b
-    if total >= _U61:
-        total -= _U61
-    return total % width
-
-
-def _kb_scatter_add(flat_mat, flat_idx, values):
-    for i in range(flat_idx.shape[0]):
-        flat_mat[flat_idx[i]] += values[i]
-
-
-def _kb_scatter_sub(flat_mat, flat_idx, values):
-    for i in range(flat_idx.shape[0]):
-        flat_mat[flat_idx[i]] -= values[i]
-
-
-def _kb_scatter_extreme(flat_mat, flat_touch, flat_idx, values, minimum):
-    for i in range(flat_idx.shape[0]):
-        j = flat_idx[i]
-        v = values[i]
-        if not flat_touch[j]:
-            flat_mat[j] = v
-            flat_touch[j] = True
-        elif minimum:
-            if v < flat_mat[j]:
-                flat_mat[j] = v
-        elif v > flat_mat[j]:
-            flat_mat[j] = v
-
-
-def _kb_scatter_floor(flat_mat, flat_idx, floors):
-    for i in range(flat_idx.shape[0]):
-        j = flat_idx[i]
-        if flat_mat[j] < floors[i]:
-            flat_mat[j] = floors[i]
-
-
-def _kb_fused_scatter(flat_mat, flat_touch, ncols,
-                      ra_hi, ra_lo, rb, rwidth,
-                      ca_hi, ca_lo, cb, cwidth,
-                      skeys, tkeys, values, op):
-    """Fused key -> hash -> flat index -> cell pass.
-
-    ``op``: 0 add, 1 subtract, 2 min, 3 max.  Keys must already be in
-    canonical orientation for undirected sketches.
-    """
-    for i in range(skeys.shape[0]):
-        r = _kb_hash_key(ra_hi, ra_lo, rb, rwidth, skeys[i])
-        c = _kb_hash_key(ca_hi, ca_lo, cb, cwidth, tkeys[i])
-        j = r * ncols + c
-        if op == 0:
-            flat_mat[j] += values[i]
-        elif op == 1:
-            flat_mat[j] -= values[i]
-        else:
-            v = values[i]
-            if not flat_touch[j]:
-                flat_mat[j] = v
-                flat_touch[j] = True
-            elif op == 2:
-                if v < flat_mat[j]:
-                    flat_mat[j] = v
-            elif v > flat_mat[j]:
-                flat_mat[j] = v
-
-
-def _hash_coefficients(hash_fn) -> Tuple[np.uint64, np.uint64, np.uint64,
-                                         np.uint64]:
-    """(a_hi, a_lo, b, width) of a PairwiseHash as uint64 scalars."""
-    return (np.uint64(hash_fn.a >> 31), np.uint64(hash_fn.a & ((1 << 31) - 1)),
-            np.uint64(hash_fn.b), np.uint64(hash_fn.width))
-
-
-_DUMMY_TOUCH = np.zeros(1, dtype=np.bool_)
-
-
-# -- backends -----------------------------------------------------------------
-
-
-class KernelBackend:
-    """The primitive set a scatter backend provides.
-
-    ``fused`` advertises whether :meth:`fused_ingest` is a genuinely
-    single-pass kernel (numba) or a composition fallback (numpy) --
-    callers use it to decide whether pre-hashing/dedup still pays.
-    """
-
-    name = "abstract"
-    fused = False
-
-    def scatter_add(self, matrix, rows, cols, values) -> None:
-        raise NotImplementedError
-
-    def scatter_sub(self, matrix, rows, cols, values) -> None:
-        raise NotImplementedError
-
-    def scatter_extreme(self, matrix, touched, rows, cols, values,
-                        minimum) -> None:
-        raise NotImplementedError
-
-    def scatter_floor(self, matrix, rows, cols, floors) -> None:
-        raise NotImplementedError
-
-    def scatter_add_1d(self, table, idx, values) -> None:
-        raise NotImplementedError
-
-    def segment_cell_sums(self, rows, cols, ncols, values):
-        return _np_segment_cell_sums(rows, cols, ncols, values)
-
-    def fused_ingest(self, sketch_matrix, touched, row_hash, col_hash,
-                     skeys, tkeys, values, op) -> None:
-        raise NotImplementedError
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging nicety
-        return f"<{type(self).__name__} {self.name!r}>"
-
-
-class NumpyKernels(KernelBackend):
-    """Buffered bincount scatter + sort-based segment reduction."""
-
-    name = "numpy"
-    fused = False
-
-    def scatter_add(self, matrix, rows, cols, values) -> None:
-        _np_scatter_add(matrix, rows, cols, values)
-
-    def scatter_sub(self, matrix, rows, cols, values) -> None:
-        _np_scatter_sub(matrix, rows, cols, values)
-
-    def scatter_extreme(self, matrix, touched, rows, cols, values,
-                        minimum) -> None:
-        _np_scatter_extreme(matrix, touched, rows, cols, values, minimum)
-
-    def scatter_floor(self, matrix, rows, cols, floors) -> None:
-        _np_scatter_floor(matrix, rows, cols, floors)
-
-    def scatter_add_1d(self, table, idx, values) -> None:
-        _np_scatter_add_1d(table, idx, values)
-
-
-class NumbaKernels(KernelBackend):
-    """Jitted per-element loops plus the fused hash->scatter pass."""
-
-    name = "numba"
-    fused = True
-
-    def __init__(self, jit: Callable):
-        self._scatter_add = jit(_kb_scatter_add)
-        self._scatter_sub = jit(_kb_scatter_sub)
-        self._scatter_extreme = jit(_kb_scatter_extreme)
-        self._scatter_floor = jit(_kb_scatter_floor)
-        self._fused = jit(_kb_fused_scatter)
-
-    def scatter_add(self, matrix, rows, cols, values) -> None:
-        if rows.shape[0] == 0:
-            return
-        if values is None:
-            values = np.ones(rows.shape[0], dtype=np.float64)
-        self._scatter_add(matrix.reshape(-1),
-                          _flat_indices(rows, cols, matrix.shape[1]), values)
-
-    def scatter_sub(self, matrix, rows, cols, values) -> None:
-        if rows.shape[0] == 0:
-            return
-        if values is None:
-            values = np.ones(rows.shape[0], dtype=np.float64)
-        self._scatter_sub(matrix.reshape(-1),
-                          _flat_indices(rows, cols, matrix.shape[1]), values)
-
-    def scatter_extreme(self, matrix, touched, rows, cols, values,
-                        minimum) -> None:
-        if rows.shape[0] == 0:
-            return
-        self._scatter_extreme(matrix.reshape(-1), touched.reshape(-1),
-                              _flat_indices(rows, cols, matrix.shape[1]),
-                              values, minimum)
-
-    def scatter_floor(self, matrix, rows, cols, floors) -> None:
-        if rows.shape[0] == 0:
-            return
-        self._scatter_floor(matrix.reshape(-1),
-                            _flat_indices(rows, cols, matrix.shape[1]),
-                            floors)
-
-    def scatter_add_1d(self, table, idx, values) -> None:
-        if idx.shape[0] == 0:
-            return
-        if values is None:
-            values = np.ones(idx.shape[0], dtype=np.float64)
-        self._scatter_add(table, idx.astype(np.int64, copy=False), values)
-
-    def fused_ingest(self, sketch_matrix, touched, row_hash, col_hash,
-                     skeys, tkeys, values, op) -> None:
-        if skeys.shape[0] == 0:
-            return
-        ra_hi, ra_lo, rb, rw = _hash_coefficients(row_hash)
-        ca_hi, ca_lo, cb, cw = _hash_coefficients(col_hash)
-        flat_touch = (touched.reshape(-1) if touched is not None
-                      else _DUMMY_TOUCH)
-        self._fused(sketch_matrix.reshape(-1), flat_touch,
-                    np.uint64(sketch_matrix.shape[1]),
-                    ra_hi, ra_lo, rb, rw, ca_hi, ca_lo, cb, cw,
-                    skeys, tkeys, values, op)
-
-
-# -- registry -----------------------------------------------------------------
-
-_numba_checked = False
-_numba_jit: Optional[Callable] = None
-
-
-def _numba_available() -> bool:
-    global _numba_checked, _numba_jit
-    if not _numba_checked:
-        _numba_checked = True
-        try:
-            from numba import njit  # type: ignore
-            _numba_jit = njit(cache=True, fastmath=False)
-        except Exception:
-            _numba_jit = None
-    return _numba_jit is not None
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Backend names accepted by :func:`set_backend` on this machine."""
-    names = ["auto", "numpy"]
-    if _numba_available():
-        names.append("numba")
-    return tuple(names)
-
-
-_instances: Dict[str, KernelBackend] = {}
-_default: Optional[KernelBackend] = None
-
-
-def resolve_backend(name: Optional[str]) -> KernelBackend:
-    """Resolve a backend name (``None`` -> ``$REPRO_KERNEL`` -> auto)."""
-    if not name:
-        name = os.environ.get("REPRO_KERNEL") or "auto"
-    name = name.lower()
-    if name == "auto":
-        name = "numba" if _numba_available() else "numpy"
-    if name == "numpy":
-        return _instances.setdefault("numpy", NumpyKernels())
-    if name == "numba":
-        if not _numba_available():
-            raise ValueError(
-                "kernel backend 'numba' requested but numba is not "
-                "importable; install numba or use 'numpy'/'auto' "
-                f"(available: {', '.join(available_backends())})")
-        return _instances.setdefault("numba", NumbaKernels(_numba_jit))
-    raise ValueError(
-        f"unknown kernel backend {name!r}; "
-        f"available: {', '.join(available_backends())}")
-
-
-def _publish_gauge(active: str) -> None:
-    try:
-        from repro.obs.instruments import OBS
-    except Exception:  # pragma: no cover - obs must never break ingest
-        return
-    if not OBS.enabled:
-        return
-    for name in ("numpy", "numba"):
-        OBS.kernel_backend.labels(name).set(1.0 if name == active else 0.0)
-
-
-def get_backend(name: Optional[str] = None) -> KernelBackend:
-    """The backend to dispatch to: explicit name > process default."""
-    global _default
-    if name is not None:
-        return resolve_backend(name)
-    if _default is None:
-        _default = resolve_backend(None)
-        _publish_gauge(_default.name)
-    return _default
-
-
-def set_backend(name: Optional[str]) -> str:
-    """Set the process-wide default backend; returns the resolved name.
-
-    ``None``/"auto" re-resolves from ``$REPRO_KERNEL`` and numba
-    availability.
-    """
-    global _default
-    _default = resolve_backend(name)
-    _publish_gauge(_default.name)
-    return _default.name
-
-
-def active_backend() -> str:
-    """Name of the backend bulk operations currently dispatch to."""
-    return get_backend().name
-
-
-@contextlib.contextmanager
-def use_backend(name: Optional[str]) -> Iterator[KernelBackend]:
-    """Temporarily switch the process default (tests, benchmarks)."""
-    global _default
-    previous = _default
-    _default = resolve_backend(name) if name else get_backend()
-    try:
-        yield _default
-    finally:
-        _default = previous
-
-
-def reset() -> None:
-    """Forget the cached default so the next call re-reads the env var."""
-    global _default
-    _default = None

@@ -23,7 +23,6 @@ from typing import Dict, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.core import kernels as _kernels
 from repro.core.aggregation import Aggregation
 from repro.hashing.family import PairwiseHash
 from repro.hashing.labels import Label, label_to_int
@@ -197,10 +196,8 @@ class SparseGraphSketch:
                     weights: np.ndarray) -> None:
         """Bulk deletion: vectorized hashing, grouped dict decrements.
 
-        Mirrors :meth:`update_many`'s layout -- hash the whole batch,
-        group by distinct cell, touch the dict once per distinct cell
-        with the (negated) per-cell weight sum.  Exact for the integer
-        and dyadic weights real streams carry, same as bulk insertion.
+        Mirrors :meth:`update_many`'s layout with negated weights;
+        bit-identical to per-element :meth:`remove` (see :meth:`_scatter`).
         """
         if not self.aggregation.invertible:
             raise ValueError(
@@ -232,11 +229,10 @@ class SparseGraphSketch:
         Hashing and per-cell weight accumulation are vectorized; the dict
         is then touched once per *distinct* cell in the chunk instead of
         once per element, which is what makes the sparse backend's bulk
-        path scale with occupancy rather than stream length.  Cell sums
-        are accumulated per cell in stream order before the single dict
-        add, so results match the scalar path exactly for the integer and
-        dyadic weights real streams carry (arbitrary floats can differ in
-        the last ulp because float addition is not associative).
+        path scale with occupancy rather than stream length.  Each cell
+        folds its elements in stream order on top of its current value
+        (see :meth:`_scatter`), so results are bit-identical to
+        per-element :meth:`update` for any float weights.
 
         Extended sketches need ``source_labels``/``target_labels`` for the
         per-bucket label sets, exactly as in
@@ -273,23 +269,34 @@ class SparseGraphSketch:
 
     def _scatter(self, rows: np.ndarray, cols: np.ndarray,
                  values: Optional[np.ndarray], insert: bool = True) -> None:
-        """Grouped dict scatter of one pre-hashed batch.
+        """Fold one pre-hashed batch into the dicts, element by element.
 
-        The sparse counterpart of :meth:`GraphSketch._scatter`: the
-        backend's segment-sum kernel accumulates per-cell totals in
-        stream order, then the dict is touched once per distinct cell.
-        ``values is None`` means unit weights (count aggregation).
-        Callers bump the epoch and validate.
+        The sparse counterpart of :meth:`GraphSketch._scatter`.  Every
+        distinct cell, row and column is seeded with its current value
+        and the batch's signed weights are folded in by one unbuffered
+        ``np.add.at`` each, in stream order -- the same additions the
+        scalar :meth:`_apply` loop makes, so the result is bit-identical
+        for any float weights -- and each dict is then written once per
+        distinct key.  ``values is None`` means unit weights (count
+        aggregation).  Callers bump the epoch and validate.
         """
         if values is None:
             values = np.ones(len(rows))
-        cells, sums = _kernels.get_backend().segment_cell_sums(
-            rows, cols, self.cols, values)
-        width = self.cols
         if not insert:
-            sums = -sums
-        for cell, total in zip(cells.tolist(), sums.tolist()):
-            self._apply(cell // width, cell % width, total)
+            values = np.negative(values)
+        cells, cell_of = np.unique(rows * self.cols + cols,
+                                   return_inverse=True)
+        cell_rows, cell_cols = np.divmod(cells, self.cols)
+        cell_rows, cell_cols = cell_rows.tolist(), cell_cols.tolist()
+        _fold(self._cells, list(zip(cell_rows, cell_cols)), cell_of, values)
+        for bucket_values, table in ((rows, self._row_sums),
+                                     (cols, self._col_sums)):
+            buckets, bucket_of = np.unique(bucket_values,
+                                           return_inverse=True)
+            _fold(table, buckets.tolist(), bucket_of, values)
+        for r, c in zip(cell_rows, cell_cols):
+            self._row_adjacency.setdefault(r, set()).add(c)
+            self._col_adjacency.setdefault(c, set()).add(r)
 
     def raise_cell_to(self, source: Label, target: Label,
                       floor: float) -> None:
@@ -317,8 +324,12 @@ class SparseGraphSketch:
         if not self.directed:
             source_keys, target_keys = (np.minimum(source_keys, target_keys),
                                         np.maximum(source_keys, target_keys))
-        rows = self._row_hash.hash_many(source_keys)
-        cols = self._col_hash.hash_many(target_keys)
+        self._raise_cells(self._row_hash.hash_many(source_keys),
+                          self._col_hash.hash_many(target_keys), floors)
+
+    def _raise_cells(self, rows: np.ndarray, cols: np.ndarray,
+                     floors: np.ndarray) -> None:
+        """Lift each pre-hashed cell to the largest floor landing on it."""
         self._epoch += 1
         cells = self._cells
         for r, c, floor in zip(rows.tolist(), cols.tolist(),
@@ -339,10 +350,15 @@ class SparseGraphSketch:
         if not self.directed:
             source_keys, target_keys = (np.minimum(source_keys, target_keys),
                                         np.maximum(source_keys, target_keys))
-        rows = self._row_hash.hash_many(source_keys)
-        cols = self._col_hash.hash_many(target_keys)
-        return np.array([self._cells.get((r, c), 0.0)
-                         for r, c in zip(rows.tolist(), cols.tolist())])
+        return self._cells_at(self._row_hash.hash_many(source_keys),
+                              self._col_hash.hash_many(target_keys))
+
+    def _cells_at(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Gather the cells at pre-hashed ``(rows, cols)`` as float64."""
+        get = self._cells.get
+        return np.array([get((r, c), 0.0)
+                         for r, c in zip(rows.tolist(), cols.tolist())],
+                        dtype=np.float64)
 
     def out_flow(self, source: Label) -> float:
         if not self.directed:
@@ -491,3 +507,12 @@ class SparseGraphSketch:
                 f"{'directed' if self.directed else 'undirected'}, "
                 f"agg={self.aggregation.value}, "
                 f"occupied={self.occupied_cells})")
+
+
+def _fold(table: Dict, keys: list, inverse: np.ndarray,
+          values: np.ndarray) -> None:
+    """``table[keys[inverse[i]]] += values[i]`` for every ``i``, in order."""
+    get = table.get
+    totals = np.array([get(key, 0.0) for key in keys], dtype=np.float64)
+    np.add.at(totals, inverse, values)
+    table.update(zip(keys, totals.tolist()))

@@ -43,6 +43,12 @@ from repro.obs.instruments import OBS
 #: chunk of label lists + three key/weight arrays stays a few MB.
 DEFAULT_CHUNK_SIZE = 65536
 
+#: Largest ``d x keys`` hash pass that hashes both key columns at once.
+#: Measured with numpy 2.4 on a 2-core x86_64 VM (d=4): one pass over
+#: both columns takes 0.6-0.7x the time of two per-side passes up to
+#: ~20k cells, but 1.3-1.5x from ~24k cells (3072-4096 keys per side).
+_ONE_PASS_CELLS = 16384
+
 
 def _timed_query(kind: str):
     """Record the wrapped query's latency under ``tcm_query_seconds{kind}``.
@@ -147,11 +153,8 @@ class TCM:
         # Plain ensembles take the shared-hash column fast path
         # (validate/canonicalize/dedup once per chunk instead of per
         # sketch); extended sketches need per-sketch label bookkeeping,
-        # so they keep the per-sketch update_many route.  The fused
-        # (single-pass key->cell) kernel additionally requires dense
-        # float64 matrices.
+        # so they keep the per-sketch update_many route.
         self._column_fast_path = not keep_labels
-        self._fused_eligible = not keep_labels and not sparse
 
     # -- constructors ---------------------------------------------------------
 
@@ -429,20 +432,16 @@ class TCM:
                 bad = float(weights[weights < 0][0])
                 raise ValueError(
                     f"weights must be non-negative, got {bad}")
-            if not self.directed:
-                source_keys, target_keys = (
-                    np.minimum(source_keys, target_keys),
-                    np.maximum(source_keys, target_keys))
-            pairs = np.column_stack((source_keys, target_keys))
+            pairs = np.column_stack(self._oriented(source_keys, target_keys))
             distinct, inverse = np.unique(pairs, axis=0, return_inverse=True)
             sums = np.bincount(inverse.ravel(), weights=weights,
                                minlength=len(distinct))
-            estimates = np.stack(
-                [s.edge_estimates(distinct[:, 0], distinct[:, 1])
-                 for s in self._sketches]).min(axis=0)
-            floors = estimates + sums
-            for sketch in self._sketches:
-                sketch.raise_cells_to(distinct[:, 0], distinct[:, 1], floors)
+            cells = list(self._sketch_cells(distinct[:, 0], distinct[:, 1]))
+            floors = np.stack([sketch._cells_at(rows, cols)
+                               for sketch, rows, cols in cells]).min(axis=0)
+            floors += sums
+            for sketch, rows, cols in cells:
+                sketch._raise_cells(rows, cols, floors)
             if OBS.enabled:
                 OBS.tcm_ingest_chunks.inc()
         if OBS.enabled:
@@ -590,13 +589,11 @@ class TCM:
         The hot core of :meth:`ingest_columns`/:meth:`remove_many` for
         plain (non-extended) ensembles.  Hoists everything
         ``update_many`` would repeat per sketch -- weight validation,
-        undirected canonicalization, and (via per-chunk key dedup) most
-        of the hashing -- so each additional sketch costs one gather
-        plus one scatter.  On a fused backend (numba) the whole
-        key->hash->cell pipeline runs as a single compiled pass per
-        sketch instead.  Bit-identical to the per-sketch route: the
-        hash values are the same by construction and the scatters are
-        the same kernels.
+        undirected canonicalization, and (via :meth:`_sketch_cells`)
+        the hashing -- so each additional sketch costs one gather plus
+        one scatter.  Bit-identical to the per-sketch route: the hash
+        values are the same by construction and the scatter is the
+        same :meth:`GraphSketch._scatter`.
 
         ``weights is None`` means unit weights.  Callers have already
         checked the aggregation is invertible when ``insert=False``.
@@ -606,47 +603,62 @@ class TCM:
             kind = "stream" if insert else "removal"
             raise ValueError(
                 f"{kind} weights must be non-negative, got {bad}")
-        if not self.directed:
-            source_keys, target_keys = (np.minimum(source_keys, target_keys),
-                                        np.maximum(source_keys, target_keys))
         values = (weights if self.aggregation is not Aggregation.COUNT
                   else None)
-        backend = _kernels.get_backend()
-        if backend.fused and getattr(self, "_fused_eligible", False):
-            for sketch in self._sketches:
-                sketch._apply_keys_fused(backend, source_keys, target_keys,
-                                         values, insert=insert)
-            return
         if (self.aggregation in (Aggregation.MIN, Aggregation.MAX)
                 and values is None):
             values = np.ones(source_keys.shape[0], dtype=np.float64)
-        # Hash only the distinct keys of the chunk, once per sketch side,
-        # and gather back -- streams repeat hot endpoints constantly, and
-        # with d sketches every duplicate would otherwise be hashed d
-        # times.
-        if self.d > 1:
-            unique_sources, source_inverse = _kernels.dedup_keys(source_keys)
-            unique_targets, target_inverse = _kernels.dedup_keys(target_keys)
-        else:
-            unique_sources = unique_targets = None
-            source_inverse = target_inverse = None
-        # One broadcast pass hashes every sketch's row (resp. column)
-        # function together -- bit-identical to per-sketch hash_many,
-        # but numpy dispatch overhead is paid once per side, not per
-        # sketch (see hash_many_bulk).
-        all_rows = _hash_bulk(
-            [s._row_hash for s in self._sketches],
-            unique_sources if unique_sources is not None else source_keys)
-        all_cols = _hash_bulk(
-            [s._col_hash for s in self._sketches],
-            unique_targets if unique_targets is not None else target_keys)
-        for i, sketch in enumerate(self._sketches):
-            rows = (all_rows[i][source_inverse]
-                    if source_inverse is not None else all_rows[i])
-            cols = (all_cols[i][target_inverse]
-                    if target_inverse is not None else all_cols[i])
+        for sketch, rows, cols in self._sketch_cells(
+                *self._oriented(source_keys, target_keys)):
             sketch._epoch += 1
             sketch._scatter(rows, cols, values, insert=insert)
+
+    def _oriented(self, source_keys: np.ndarray, target_keys: np.ndarray
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+        """Key columns in stored orientation: label-canonical when
+        undirected (smaller key first, as ``GraphSketch._buckets``)."""
+        if self.directed:
+            return source_keys, target_keys
+        return (np.minimum(source_keys, target_keys),
+                np.maximum(source_keys, target_keys))
+
+    def _sketch_cells(self, source_keys: np.ndarray,
+                      target_keys: np.ndarray):
+        """Yield ``(sketch, rows, cols)``: every sketch's cells for one
+        batch of oriented key columns.
+
+        One broadcast pass hashes every sketch's function together --
+        bit-identical to per-sketch ``hash_many``, but numpy dispatch
+        overhead is paid once, not per sketch (see
+        :func:`hash_many_bulk`).  Graphical sketches hash both endpoints
+        with the same function, so small batches put both key columns
+        through a single pass (see :data:`_ONE_PASS_CELLS`); larger
+        batches and non-square ensembles take one pass per side.  With
+        ``d > 1`` only the batch's distinct keys are hashed and gathered
+        back per sketch: streams repeat hot endpoints constantly, and
+        every duplicate would otherwise be hashed ``d`` times.
+        """
+        source_inverse = target_inverse = None
+        if self.d > 1:
+            source_keys, source_inverse = _kernels.dedup_keys(source_keys)
+            target_keys, target_inverse = _kernels.dedup_keys(target_keys)
+        row_hashes = [s._row_hash for s in self._sketches]
+        n = source_keys.shape[0]
+        if (self.d * (n + target_keys.shape[0]) <= _ONE_PASS_CELLS
+                and all(s.is_graphical for s in self._sketches)):
+            both = _hash_bulk(row_hashes,
+                              np.concatenate((source_keys, target_keys)))
+            all_rows, all_cols = both[:, :n], both[:, n:]
+        else:
+            all_rows = _hash_bulk(row_hashes, source_keys)
+            all_cols = _hash_bulk([s._col_hash for s in self._sketches],
+                                  target_keys)
+        for i, sketch in enumerate(self._sketches):
+            rows = (all_rows[i] if source_inverse is None
+                    else all_rows[i][source_inverse])
+            cols = (all_cols[i] if target_inverse is None
+                    else all_cols[i][target_inverse])
+            yield sketch, rows, cols
 
     def clear(self) -> None:
         for sketch in self._sketches:
@@ -678,20 +690,21 @@ class TCM:
     def edge_weights(self, pairs: Sequence[Tuple[Label, Label]]) -> np.ndarray:
         """Vectorized edge-weight estimates for a batch of queries.
 
-        Converts labels once, probes every sketch with numpy gathers and
-        merges with the aggregation's direction.  Orders of magnitude
-        faster than per-pair :meth:`edge_weight` for large workloads
-        (Appendix C.4's query-time experiment uses this path).
+        Converts labels once, hashes them for every sketch in one bulk
+        pass, probes each sketch with a numpy gather and merges with the
+        aggregation's direction.  Orders of magnitude faster than
+        per-pair :meth:`edge_weight` for large workloads (Appendix C.4's
+        query-time experiment uses this path).
         """
         if len(pairs) == 0:
             return np.zeros(0)
-        source_keys = label_keys([x for x, _ in pairs])
-        target_keys = label_keys([y for _, y in pairs])
-        estimates = np.stack([s.edge_estimates(source_keys, target_keys)
-                              for s in self._sketches])
-        if self.aggregation.overestimates:
-            return estimates.min(axis=0)
-        return estimates.max(axis=0)
+        source_keys, target_keys = self._oriented(
+            label_keys([x for x, _ in pairs]),
+            label_keys([y for _, y in pairs]))
+        merge = np.minimum if self.aggregation.overestimates else np.maximum
+        return functools.reduce(merge, (
+            sketch._cells_at(rows, cols) for sketch, rows, cols
+            in self._sketch_cells(source_keys, target_keys)))
 
     @_timed_query("out_flow")
     def out_flow(self, node: Label) -> float:

@@ -31,45 +31,6 @@ _LIMB_BITS = np.uint64(31)
 _LIMB_MASK = np.uint64((1 << 31) - 1)
 
 
-def _mod_mersenne(x: "np.ndarray") -> "np.ndarray":
-    """Reduce uint64 values (< 2^64) modulo ``2^61 - 1`` without overflow."""
-    y = (x & _P) + (x >> np.uint64(61))
-    return np.where(y >= _P, y - _P, y)
-
-
-def _mulmod_mersenne(a_hi: int, a_lo: int, k: "np.ndarray") -> "np.ndarray":
-    """Compute ``a * k mod (2^61-1)`` with ``a = a_hi*2^31 + a_lo`` and
-    ``k`` an array of values in ``[0, 2^61)``.
-
-    All four partial products fit in uint64:
-    ``a_hi < 2^30``, ``a_lo < 2^31``, ``k_hi < 2^30``, ``k_lo < 2^31``.
-    Uses ``2^61 === 1`` and ``2^62 === 2 (mod p)`` to fold the high limbs.
-    """
-    k_hi = k >> _LIMB_BITS            # < 2^30
-    k_lo = k & _LIMB_MASK             # < 2^31
-    hi = np.uint64(a_hi)
-    lo = np.uint64(a_lo)
-
-    # a*k = a_hi*k_hi*2^62 + (a_hi*k_lo + a_lo*k_hi)*2^31 + a_lo*k_lo
-    top = _mod_mersenne(hi * k_hi)                       # (a_hi*k_hi) mod p
-    top = _mod_mersenne(top + top)                       # * 2^62 === * 2
-    mid = _mod_mersenne(hi * k_lo + lo * k_hi)           # < 2^62, fits
-    mid = _shl31_mod_mersenne(mid)                       # * 2^31
-    bot = _mod_mersenne(lo * k_lo)                       # < 2^62, fits
-    return _mod_mersenne(top + mid + bot)
-
-
-def _shl31_mod_mersenne(y: "np.ndarray") -> "np.ndarray":
-    """Compute ``(y << 31) mod (2^61-1)`` for ``y`` in ``[0, 2^61)``.
-
-    ``y*2^31 = y_hi*2^61 + y_lo*2^31 === y_hi + y_lo*2^31 (mod p)`` where
-    ``y = y_hi*2^30 + y_lo`` and ``y_lo*2^31 < 2^61`` fits exactly.
-    """
-    y_hi = y >> np.uint64(30)
-    y_lo = y & np.uint64((1 << 30) - 1)
-    return _mod_mersenne((y_lo << _LIMB_BITS) + y_hi)
-
-
 @dataclass(frozen=True)
 class PairwiseHash:
     """One hash ``h(x) = ((a*x + b) mod p) mod width`` with ``p = 2^61-1``.
@@ -102,46 +63,10 @@ class PairwiseHash:
     def hash_many(self, keys: "np.ndarray") -> "np.ndarray":
         """Vectorized bucketing of an array of non-negative integer keys.
 
-        Equivalent to ``np.array([self.hash_int(k) for k in keys])`` but
-        runs entirely in uint64 numpy arithmetic.  Uses *lazy* Mersenne
-        reduction: intermediates are kept merely ``< 2^63`` (congruent
-        mod p, not canonical) so the whole ``(a*k + b) mod p`` needs one
-        canonicalizing pass at the end instead of one per partial
-        product -- about half the vector ops of the naive chain, and no
-        intermediate ``np.where``.  Bucket-for-bucket identical to the
-        scalar :meth:`hash_int`.
+        Equivalent to ``np.array([self.hash_int(k) for k in keys])``;
+        a one-function :func:`hash_many_bulk`.
         """
-        keys = np.asarray(keys, dtype=np.uint64)
-        # Nearly-reduce the key: k < 2^61 + 8, congruent to keys mod p.
-        k = (keys & _P) + (keys >> np.uint64(61))
-        k_hi = k >> _LIMB_BITS            # < 2^30 + 1
-        k_lo = k & _LIMB_MASK             # < 2^31
-        a_hi = np.uint64(self.a >> 31)    # < 2^30
-        a_lo = np.uint64(self.a & ((1 << 31) - 1))
-        # a*k = a_hi*k_hi*2^62 + (a_hi*k_lo + a_lo*k_hi)*2^31 + a_lo*k_lo
-        # 2^61 === 1 (mod p), so *2^62 === *2: top < 2^61, no reduction.
-        top = (a_hi * k_hi) << np.uint64(1)
-        # mid*2^31 = m_hi*2^61 + m_lo*2^31 === m_hi + m_lo*2^31 with
-        # mid = m_hi*2^30 + m_lo; the fold stays < 2^61 + 2^32.
-        mid = a_hi * k_lo + a_lo * k_hi   # < 2^62, fits
-        mid = (mid >> np.uint64(30)) + \
-            ((mid & np.uint64((1 << 30) - 1)) << _LIMB_BITS)
-        # bot < 2^62: one lazy fold brings it under 2^61 + 2.
-        bot = a_lo * k_lo
-        bot = (bot & _P) + (bot >> np.uint64(61))
-        # top + mid + bot + b < 2^63: safe to sum, then canonicalize.
-        total = top + mid + bot + np.uint64(self.b)
-        total = (total & _P) + (total >> np.uint64(61))  # < 2^61 + 4
-        np.subtract(total, _P, out=total, where=total >= _P)
-        width = self.width
-        if width & (width - 1) == 0:
-            # Power-of-two width: mod == mask, and uint64 masking is an
-            # order of magnitude cheaper than numpy's scalar-division mod.
-            total &= np.uint64(width - 1)
-            # Buckets are < width < 2^63, so the int64 reinterpretation
-            # is value-preserving and skips an astype copy.
-            return total.view(np.int64)
-        return (total % np.uint64(width)).view(np.int64)
+        return hash_many_bulk((self,), keys)[0]
 
 
 @lru_cache(maxsize=128)
@@ -177,7 +102,7 @@ def hash_many_bulk(funcs: Sequence["PairwiseHash"],
     """Bucket one key column through several hash functions at once.
 
     Returns an ``(len(funcs), len(keys))`` int64 array where row ``i``
-    equals ``funcs[i].hash_many(keys)`` exactly.  Stacking the
+    holds ``funcs[i].hash_int(k)`` for every key ``k``.  Stacking the
     ``(a, b, width)`` coefficients as ``(d, 1)`` columns and
     broadcasting against the ``(n,)`` keys runs the whole ensemble in
     one pass instead of ``d`` separate passes -- numpy dispatch
@@ -185,9 +110,13 @@ def hash_many_bulk(funcs: Sequence["PairwiseHash"],
     batches.  The partial products accumulate in-place into three
     ``(d, n)`` scratch buffers (the naive chain allocates ~16), and
     all-power-of-two ensembles take a mask instead of the slow uint64
-    ``%``.  Same lazy Mersenne reduction as
-    :meth:`PairwiseHash.hash_many`; the arithmetic is elementwise
-    identical, so the buckets are bit-identical.
+    ``%``.
+
+    ``a*k mod p`` is computed over 31-bit limbs so every partial
+    product fits in uint64, with *lazy* Mersenne reduction:
+    intermediates are kept merely ``< 2^63`` (congruent mod p, not
+    canonical), so the whole ``(a*k + b) mod p`` needs one
+    canonicalizing pass at the end instead of one per partial product.
     """
     keys = np.asarray(keys, dtype=np.uint64)
     if not funcs:

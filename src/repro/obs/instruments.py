@@ -226,11 +226,6 @@ class Instruments:
             "parallel_shared_memory_bytes",
             "Shared-memory bytes mapped by the active parallel build "
             "(input slot ring + per-worker output tables; 0 when idle)")
-        self.kernel_backend = registry.gauge(
-            "kernel_backend_active",
-            "1 for the scatter-kernel backend bulk ingest dispatches to, "
-            "0 for the others (see repro.core.kernels)",
-            labelnames=("backend",))
 
         # -- sketch service (repro.server) ---------------------------------
         self.server_requests = registry.counter(

@@ -201,8 +201,6 @@ def run(n_edges: int = 1_000_000, n_nodes: int = 65536, d: int = 4,
         skip_rss: bool = False) -> Dict:
     import os
 
-    from repro.core import kernels
-
     resolved_workers = workers if workers is not None \
         else max(1, os.cpu_count() or 1)
     record: Dict = {
@@ -211,12 +209,11 @@ def run(n_edges: int = 1_000_000, n_nodes: int = 65536, d: int = 4,
         "config": {"n_edges": n_edges, "n_nodes": n_nodes, "d": d,
                    "width": width, "seed": seed, "chunk_size": chunk_size,
                    "workers": resolved_workers,
-                   "kernel_backend": kernels.active_backend(),
                    "cpu_count": os.cpu_count() or 1,
                    "python": platform.python_version(),
                    "machine": platform.machine()},
-        "target": "chunked SUM >= 5x per-edge via the kernel layer's "
-                  "buffered bincount scatter; min/max/conservative >= 3x",
+        "target": "chunked SUM >= 5x per-edge via the ufunc.at "
+                  "scatter; min/max/conservative >= 3x",
     }
     record.update(measure_throughput(n_edges, n_nodes, d, width, seed,
                                      chunk_size, resolved_workers,

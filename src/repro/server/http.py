@@ -206,6 +206,22 @@ def _parse_floats(body: Dict, field: str, n: int,
         raise _HTTPError(400, f"'{field}' must be numeric")
 
 
+def _check_weights(weights: Optional[np.ndarray]) -> None:
+    """Reject a request whose weights are negative, NaN or infinite.
+
+    Runs per request, before staging and before any WAL write, so a bad
+    request fails alone with a 400 instead of failing every request
+    coalesced into its flush, and a NaN never reaches a cell.
+    """
+    if weights is None:
+        return
+    valid = (weights >= 0) & (weights < np.inf)  # NaN fails both
+    if not valid.all():
+        bad = float(weights[~valid][0])
+        raise _HTTPError(
+            400, f"weights must be finite and non-negative, got {bad}")
+
+
 class SketchServer:
     """The asyncio service; owns a registry and a listening socket."""
 
@@ -654,6 +670,7 @@ class SketchServer:
                 raise _HTTPError(
                     400, f"got {n} sources but {len(targets)} targets")
             weights = _parse_floats(body, "weights", n, 1.0)
+            _check_weights(weights)
             timestamps = None
             if tenant.kind == "window":
                 watermark = tenant.sketch.watermark
@@ -677,6 +694,7 @@ class SketchServer:
                 raise _HTTPError(
                     400, f"got {n} sources but {len(targets)} targets")
             weights = _parse_floats(body, "weights", n, 1.0)
+            _check_weights(weights)
             removed = tenant.remove(sources, targets, weights)
             await self._durable(tenant)
             return 200, {"removed": int(removed)}, "application/json"
@@ -760,6 +778,8 @@ class SketchServer:
             raise _HTTPError(
                 400, f"frame tenant {frame.tenant!r} does not match "
                      f"path tenant {tenant.name!r}")
+        if action in ("ingest", "remove"):
+            _check_weights(frame.weights)
         if action == "ingest":
             timestamps: Any = None
             if tenant.kind == "window":

@@ -73,6 +73,14 @@ class TestHashMany:
         scalar = np.array([h.hash_int(int(k)) for k in keys])
         np.testing.assert_array_equal(vectorized, scalar)
 
+    @pytest.mark.parametrize("width", [1, 3, 1000, 2 ** 20 + 7, 2 ** 40 + 1])
+    def test_matches_scalar_on_non_power_of_two_widths(self, width):
+        h = HashFamily.uniform(1, width, seed=width)[0]
+        rng = np.random.default_rng(width)
+        keys = rng.integers(0, 2 ** 64, size=300, dtype=np.uint64)
+        scalar = np.array([h.hash_int(int(k)) for k in keys])
+        np.testing.assert_array_equal(h.hash_many(keys), scalar)
+
     def test_empty_input(self):
         h = PairwiseHash(a=7, b=3, width=11)
         assert len(h.hash_many(np.array([], dtype=np.uint64))) == 0

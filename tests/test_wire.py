@@ -20,7 +20,9 @@ import pytest
 
 from repro.core.tcm import TCM
 from repro.server import SketchServer, wire
+from repro.server.durability import DurabilityManager
 from repro.server.loadgen import _request
+from repro.server.registry import SketchRegistry
 
 
 def run_async(coro):
@@ -361,6 +363,69 @@ class TestWireOverHTTP:
                 int(a.split(":")[2][:2]) - int(b.split(":")[2][:2])) <= 1
 
         run_async(_with_server(scenario))
+
+
+class TestBadWeightIsolation:
+    """A negative or non-finite weight fails its own request with a 400,
+    before staging and before the WAL: a valid request coalesced into
+    the same flush still applies, and recovery replays cleanly."""
+
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("encoding", ["json", "binary"])
+    def test_bad_request_fails_alone(self, tmp_path, encoding, bad):
+        good = ([1, 2, 3], [4, 5, 6], [1.0, 2.0, 3.0])
+        poison = ([1, 7], [4, 8], [5.0, bad])
+        probe = [(1, 4), (7, 8)]
+
+        async def send(port, action, columns):
+            sources, targets, weights = columns
+            client = await _Client.open(port)
+            try:
+                if encoding == "json":
+                    status, _ = await client.json(
+                        "POST", f"/sketches/t/{action}",
+                        {"sources": sources, "targets": targets,
+                         "weights": weights})
+                    return status
+                encode = (wire.encode_ingest if action == "ingest"
+                          else wire.encode_remove)
+                status, _, _ = await client.binary(
+                    f"/sketches/t/{action}",
+                    encode("t", u64(sources), u64(targets),
+                           np.asarray(weights)))
+                return status
+            finally:
+                await client.close()
+
+        async def scenario(client, server, port):
+            status, _ = await client.json(
+                "PUT", "/sketches/t",
+                {"kind": "tcm", "d": 2, "width": 64, "seed": 3})
+            assert status == 201
+            statuses = await asyncio.gather(send(port, "ingest", good),
+                                            send(port, "ingest", poison))
+            assert list(statuses) == [200, 400]
+            assert await send(port, "remove", poison) == 400
+            _, body = await client.json(
+                "POST", "/sketches/t/query",
+                {"kind": "edge", "pairs": [list(p) for p in probe]})
+            return body["values"]
+
+        values = run_async(_with_server(
+            scenario, max_delay=0.05, data_dir=str(tmp_path),
+            fsync="always"))
+        reference = TCM(d=2, width=64, seed=3)
+        reference.ingest_columns(*good)
+        assert values == reference.edge_weights(probe).tolist()
+
+        registry = SketchRegistry()
+        manager = DurabilityManager(str(tmp_path), fsync="off")
+        report = manager.recover(registry)
+        assert report["replay_errors"] == 0
+        for got, want in zip(registry.get("t").sketch.sketches,
+                             reference.sketches):
+            np.testing.assert_array_equal(got.matrix, want.matrix)
+        manager.close_all(registry)
 
 
 class TestHTTPPipelining:
